@@ -100,7 +100,7 @@ pub fn accumulate_entry(p: &mut Matrix, i: usize, j: usize, li: usize, lj: usize
 
 /// Reference (slow) assembly of P directly at the basis level: the
 /// double sum of equation (4) over every ordered template pair. Used to
-/// validate the condensed Algorithm 1 path.
+/// validate the condensed Algorithm 1 path (`bemcap-core`'s assembly).
 pub fn assemble_dense_reference(eng: &GalerkinEngine, set: &BasisSet) -> Matrix {
     let n = set.basis_count();
     let mut p = Matrix::zeros(n, n);
@@ -114,21 +114,6 @@ pub fn assemble_dense_reference(eng: &GalerkinEngine, set: &BasisSet) -> Matrix 
             }
             p.set(bi, bj, acc);
         }
-    }
-    p
-}
-
-/// Condensed assembly over the upper triangle of P̃ (sequential
-/// Algorithm 1; the parallel drivers in `bemcap-core` split the same k
-/// loop across workers).
-pub fn assemble_condensed(eng: &GalerkinEngine, index: &TemplateIndex) -> Matrix {
-    let n = index.basis_count();
-    let m = index.template_count();
-    let mut p = Matrix::zeros(n, n);
-    for k in 0..bemcap_par::triangle_size(m) {
-        let (i, j) = bemcap_par::k_to_ij(k);
-        let value = pair_integral(eng, index.template(i), index.template(j));
-        accumulate_entry(&mut p, i, j, index.label(i), index.label(j), value);
     }
     p
 }
@@ -165,28 +150,6 @@ mod tests {
         assert_eq!(idx.template_count(), 5);
         assert_eq!(idx.basis_count(), 4);
         assert_eq!(idx.labels(), &[0, 1, 2, 2, 3]);
-    }
-
-    #[test]
-    fn condensed_equals_dense_reference() {
-        let eng = GalerkinEngine::default();
-        let set = example_set();
-        let idx = TemplateIndex::new(&set);
-        let dense = assemble_dense_reference(&eng, &set);
-        let condensed = assemble_condensed(&eng, &idx);
-        let scale = dense.max_abs();
-        for i in 0..4 {
-            for j in 0..4 {
-                let d = (dense.get(i, j) - condensed.get(i, j)).abs();
-                assert!(
-                    d < 1e-9 * scale,
-                    "entry ({i},{j}): dense {} vs condensed {}",
-                    dense.get(i, j),
-                    condensed.get(i, j)
-                );
-            }
-        }
-        assert!(condensed.is_symmetric(1e-9));
     }
 
     #[test]

@@ -1,26 +1,40 @@
 //! System setup: filling P and Φ from the template index.
 //!
-//! Three drivers for the same Algorithm 1 k-loop:
+//! Algorithm 1 is one k-loop over the upper triangle of the template
+//! matrix P̃, each entry folded into P through the label array. The loop
+//! exists once, in the pair producer `for_each_pair`; run sequentially,
+//! on shared memory or by message passing, only the merge differs:
 //!
-//! * [`assemble_sequential`] — one thread, the D = 1 reference;
+//! * [`assemble_sequential`] — one thread, the D = 1 reference: every
+//!   entry accumulates straight into P (through a shared pair-integral
+//!   cache when the executor supplies one);
 //! * [`assemble_threaded`] — the shared-memory flow of Fig. 4: workers
-//!   accumulate *private* partial matrices over their k-ranges, merged by
+//!   accumulate *private* partial matrices over their k-ranges, summed by
 //!   the main thread;
 //! * [`assemble_distributed`] — the message-passing flow of Figs. 5–6:
 //!   every rank builds an N×N_d partial matrix over its contiguous column
-//!   range (adjacent ranks share a boundary column), sends it to rank 0,
-//!   which shifts and adds.
+//!   range (adjacent ranks share a boundary column) and sends it to rank
+//!   0, which shifts and adds;
+//! * [`measure_chunk_costs_best_of`] — times the producer chunk by chunk,
+//!   the measured inputs to Table 3 and Fig. 8.
 //!
-//! All three produce bit-identical results up to floating-point addition
-//! order; the workspace integration tests assert their agreement.
+//! The three assemblies agree up to floating-point addition order; the
+//! workspace integration tests assert their agreement.
 
+use std::ops::Range;
 use std::time::Instant;
 
-use bemcap_basis::{accumulate_entry, pair_integral, template_moment, BasisSet, TemplateIndex};
+use bemcap_basis::{
+    accumulate_entry, pair_integral, template_moment, BasisSet, Template, TemplateIndex,
+    TemplateKey,
+};
 use bemcap_geom::EPS0;
 use bemcap_linalg::Matrix;
 use bemcap_par::{k_to_ij, partition_ranges, pool, triangle_size, Universe};
 use bemcap_quad::galerkin::GalerkinEngine;
+
+use crate::cache::PairCache;
+use crate::report::CacheStats;
 
 /// Output of one assembly run.
 #[derive(Debug, Clone)]
@@ -49,6 +63,56 @@ pub fn assemble_phi(eng: &GalerkinEngine, set: &BasisSet, n_cond: usize) -> Matr
     phi
 }
 
+/// The pair producer: walks `range` of the upper-triangle enumeration of
+/// P̃ in ascending k and hands each scaled entry `scale · P̃_ij` to
+/// `sink(i, j, value)`. With a cache, each raw integral is looked up
+/// (or computed and inserted) under its template-pair key; a hit returns
+/// the very bits a recomputation would, so the sink sees identical values
+/// either way. Returns the lookup counters (all zero without a cache).
+fn for_each_pair(
+    eng: &GalerkinEngine,
+    cache: Option<PairCache<'_>>,
+    index: &TemplateIndex,
+    scale: f64,
+    range: Range<usize>,
+    mut sink: impl FnMut(usize, usize, f64),
+) -> CacheStats {
+    let mut stats = CacheStats::default();
+    if range.is_empty() {
+        return stats;
+    }
+    let keys: Vec<TemplateKey> = match cache {
+        Some(_) => index.templates().iter().map(Template::key).collect(),
+        None => Vec::new(),
+    };
+    // (i, j) advance incrementally through the triangle enumeration — one
+    // closed-form k_to_ij per range instead of one sqrt per entry.
+    let (mut i, mut j) = k_to_ij(range.start);
+    for _ in range {
+        let (a, b) = (index.template(i), index.template(j));
+        let raw = match cache {
+            Some(c) => c.get_or_compute(keys[i], keys[j], &mut stats, || pair_integral(eng, a, b)),
+            None => pair_integral(eng, a, b),
+        };
+        sink(i, j, scale * raw);
+        i += 1;
+        if i > j {
+            i = 0;
+            j += 1;
+        }
+    }
+    stats
+}
+
+/// The sink folding each entry into a full symmetric N×N matrix, per
+/// Algorithm 1's update rule ([`accumulate_entry`]).
+fn fold_into<'a>(
+    p: &'a mut Matrix,
+    index: &'a TemplateIndex,
+) -> impl FnMut(usize, usize, f64) + 'a {
+    move |i, j, v| accumulate_entry(p, i, j, index.label(i), index.label(j), v)
+}
+
 /// Sequential Algorithm 1 (D = 1).
 pub fn assemble_sequential(
     eng: &GalerkinEngine,
@@ -57,24 +121,28 @@ pub fn assemble_sequential(
     n_cond: usize,
     eps_rel: f64,
 ) -> Assembly {
+    assemble_cached(eng, None, index, set, n_cond, eps_rel).0
+}
+
+/// [`assemble_sequential`] reading and filling an optional shared
+/// pair-integral cache, returning the lookup counters alongside. The
+/// result is bit-identical with or without the cache.
+pub(crate) fn assemble_cached(
+    eng: &GalerkinEngine,
+    cache: Option<PairCache<'_>>,
+    index: &TemplateIndex,
+    set: &BasisSet,
+    n_cond: usize,
+    eps_rel: f64,
+) -> (Assembly, CacheStats) {
     let start = Instant::now();
-    let scale = kernel_scale(eps_rel);
     let n = index.basis_count();
     let mut p = Matrix::zeros(n, n);
-    // (i, j) advance incrementally through the triangle enumeration — one
-    // closed-form k_to_ij per loop instead of one sqrt per entry.
-    let (mut i, mut j) = (0usize, 0usize);
-    for _ in 0..triangle_size(index.template_count()) {
-        let v = scale * pair_integral(eng, index.template(i), index.template(j));
-        accumulate_entry(&mut p, i, j, index.label(i), index.label(j), v);
-        i += 1;
-        if i > j {
-            i = 0;
-            j += 1;
-        }
-    }
+    let all = 0..triangle_size(index.template_count());
+    let stats =
+        for_each_pair(eng, cache, index, kernel_scale(eps_rel), all, fold_into(&mut p, index));
     let phi = assemble_phi(eng, set, n_cond);
-    Assembly { p, phi, seconds: start.elapsed().as_secs_f64() }
+    (Assembly { p, phi, seconds: start.elapsed().as_secs_f64() }, stats)
 }
 
 /// Shared-memory Algorithm 1 (Fig. 4): `threads` workers over the static
@@ -94,19 +162,7 @@ pub fn assemble_threaded(
     let total_k = triangle_size(index.template_count());
     let (partials, timings) = pool::run_partitioned(threads, total_k, |_, range| {
         let mut local = Matrix::zeros(n, n);
-        if range.is_empty() {
-            return local;
-        }
-        let (mut i, mut j) = k_to_ij(range.start);
-        for _ in range {
-            let v = scale * pair_integral(eng, index.template(i), index.template(j));
-            accumulate_entry(&mut local, i, j, index.label(i), index.label(j), v);
-            i += 1;
-            if i > j {
-                i = 0;
-                j += 1;
-            }
-        }
+        for_each_pair(eng, None, index, scale, range, fold_into(&mut local, index));
         local
     });
     let mut p = Matrix::zeros(n, n);
@@ -122,12 +178,13 @@ pub fn assemble_threaded(
 /// Distributed-memory Algorithm 1 (Figs. 5–6) on the in-process
 /// message-passing runtime.
 ///
-/// Rank 0 accumulates its own partition directly into P; every other rank
-/// builds an `N × N_d` partial matrix over its contiguous basis-column
-/// range (the upper-triangle representatives only — labels are monotone in
-/// the template index, so l_i ≤ l_j for every computed entry), serializes
-/// it, and sends it to rank 0, which shifts it to the right columns, adds,
-/// and finally mirrors the upper triangle into the full symmetric P.
+/// Every rank builds an `N × N_d` partial matrix over its contiguous
+/// basis-column range (the upper-triangle representatives only — labels
+/// are monotone in the template index, so l_i ≤ l_j for every computed
+/// entry). Rank 0 adds its own partial directly; every other rank
+/// serializes its partial and sends it to rank 0, which shifts it to the
+/// right columns, adds, and finally mirrors the upper triangle into the
+/// full symmetric P.
 pub fn assemble_distributed(
     eng: &GalerkinEngine,
     index: &TemplateIndex,
@@ -141,34 +198,27 @@ pub fn assemble_distributed(
     let n = index.basis_count();
     let total_k = triangle_size(index.template_count());
     let ranges = partition_ranges(total_k, ranks);
-    // Each rank returns (col_offset, partial N×Nd buffer); rank 0 returns
-    // its accumulated upper-triangle matrix directly.
+    // Rank 0 returns the accumulated upper-triangle matrix; the others
+    // return `None` after sending their slab.
     let results = Universe::run(ranks, |comm| {
         let range = ranges[comm.rank()].clone();
         // Column range of this partition in basis indices.
-        let (col_lo, col_hi) = if range.is_empty() {
+        let (col_lo, nd) = if range.is_empty() {
             (0usize, 0usize)
         } else {
             let (_, j_first) = k_to_ij(range.start);
             let (_, j_last) = k_to_ij(range.end - 1);
-            (index.label(j_first), index.label(j_last))
+            let (lo, hi) = (index.label(j_first), index.label(j_last));
+            (lo, hi - lo + 1)
         };
-        let nd = if range.is_empty() { 0 } else { col_hi - col_lo + 1 };
         let mut partial = Matrix::zeros(n, nd.max(1));
-        for k in range.clone() {
-            let (i, j) = k_to_ij(k);
+        for_each_pair(eng, None, index, scale, range, |i, j, v| {
+            // Upper-triangle representative (l_i ≤ l_j): an off-diagonal
+            // P̃ entry folding onto the diagonal of P counts twice.
             let (li, lj) = (index.label(i), index.label(j));
-            let v = scale * pair_integral(eng, index.template(i), index.template(j));
-            // Upper-triangle representative accumulation (li ≤ lj).
-            let col = lj - col_lo;
-            if i == j {
-                partial.add_to(li, col, v);
-            } else if li == lj {
-                partial.add_to(li, col, 2.0 * v);
-            } else {
-                partial.add_to(li, col, v);
-            }
-        }
+            let v = if i != j && li == lj { 2.0 * v } else { v };
+            partial.add_to(li, lj - col_lo, v);
+        });
         if comm.rank() == 0 {
             // Rank 0 keeps its partial locally and receives the others.
             let mut upper = Matrix::zeros(n, n);
@@ -242,11 +292,7 @@ pub fn measure_chunk_costs_best_of(
     for _ in 0..reps.max(1) {
         for (slot, range) in best.iter_mut().zip(&ranges) {
             let t = Instant::now();
-            for k in range.clone() {
-                let (i, j) = k_to_ij(k);
-                let v = scale * pair_integral(eng, index.template(i), index.template(j));
-                accumulate_entry(&mut sink, i, j, index.label(i), index.label(j), v);
-            }
+            for_each_pair(eng, None, index, scale, range.clone(), fold_into(&mut sink, index));
             *slot = slot.min(t.elapsed().as_secs_f64());
         }
     }
@@ -264,6 +310,46 @@ mod tests {
         let set = instantiate(&geo, &InstantiateConfig::default()).unwrap();
         let index = TemplateIndex::new(&set);
         (GalerkinEngine::default(), set, index, geo.conductor_count())
+    }
+
+    #[test]
+    fn condensed_equals_dense_reference() {
+        // The Fig. 3 example: four basis functions, ψ3 owning two
+        // templates, so the doubling rule onto P's diagonal is exercised.
+        use bemcap_basis::condense::assemble_dense_reference;
+        use bemcap_basis::{ArchShape, BasisFunction, Template};
+        use bemcap_geom::{Axis, Panel};
+        use bemcap_quad::galerkin::ShapeDir;
+        let p = |w: f64, u0: f64| Panel::new(Axis::Z, w, (u0, u0 + 1.0), (0.0, 1.0)).unwrap();
+        let set = BasisSet::new(vec![
+            BasisFunction::new(0, vec![Template::flat(p(0.0, 0.0))]),
+            BasisFunction::new(0, vec![Template::flat(p(0.0, 1.5))]),
+            BasisFunction::new(
+                1,
+                vec![
+                    Template::flat(p(1.0, 0.5)),
+                    Template::arch(p(1.0, 0.2), ShapeDir::U, ArchShape { center: 0.7, width: 0.3 }),
+                ],
+            ),
+            BasisFunction::new(1, vec![Template::flat(p(1.0, 2.0))]),
+        ]);
+        let eng = GalerkinEngine::default();
+        let index = TemplateIndex::new(&set);
+        let dense = &assemble_dense_reference(&eng, &set) * kernel_scale(1.0);
+        let condensed = assemble_sequential(&eng, &index, &set, 2, 1.0).p;
+        let scale = dense.max_abs();
+        for i in 0..4 {
+            for j in 0..4 {
+                let d = (dense.get(i, j) - condensed.get(i, j)).abs();
+                assert!(
+                    d < 1e-9 * scale,
+                    "entry ({i},{j}): dense {} vs condensed {}",
+                    dense.get(i, j),
+                    condensed.get(i, j)
+                );
+            }
+        }
+        assert!(condensed.is_symmetric(1e-9));
     }
 
     #[test]

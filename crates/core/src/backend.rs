@@ -43,8 +43,10 @@ use bemcap_quad::galerkin::{GalerkinEngine, PanelShape};
 
 use crate::assembly;
 use crate::batch::default_pool_size;
+use crate::cache::PairCache;
 use crate::error::CoreError;
 use crate::extraction::{Method, Parallelism};
+use crate::report::CacheStats;
 use crate::solver::{solve_capacitance, DensePwcSolver};
 
 /// Most panels [`AutoBackend`] hands to the dense direct solver: beyond
@@ -81,6 +83,9 @@ pub trait Backend: fmt::Debug {
 
     /// The system-setup step: build everything the solve needs (basis
     /// instantiation + assembly, or mesh + operator + preconditioner).
+    /// Pair integrals come from `engine`, read through `cache` when the
+    /// caller shares one; backends that compute no template pair
+    /// integrals ignore the cache.
     ///
     /// # Errors
     ///
@@ -89,6 +94,7 @@ pub trait Backend: fmt::Debug {
     fn prepare(
         &self,
         engine: &GalerkinEngine,
+        cache: Option<PairCache<'_>>,
         geo: &Geometry,
     ) -> Result<Box<dyn PreparedSystem>, CoreError>;
 }
@@ -115,6 +121,12 @@ pub trait PreparedSystem {
 
     /// Estimated solver memory in bytes (system matrix or operator).
     fn memory_bytes(&self) -> usize;
+
+    /// Pair-integral cache lookups the setup step made (all zero when it
+    /// read no cache).
+    fn cache_stats(&self) -> CacheStats {
+        CacheStats::default()
+    }
 
     /// The system-solving step.
     ///
@@ -183,6 +195,7 @@ struct PreparedDirect {
     m_templates: Option<usize>,
     workers: usize,
     memory: usize,
+    cache: CacheStats,
     p: Matrix,
     phi: Matrix,
 }
@@ -208,6 +221,10 @@ impl PreparedSystem for PreparedDirect {
         self.memory
     }
 
+    fn cache_stats(&self) -> CacheStats {
+        self.cache
+    }
+
     fn solve(self: Box<Self>) -> Result<SolveOutput, CoreError> {
         let (c, _) = solve_capacitance(self.p, &self.phi)?;
         Ok(SolveOutput { capacitance: c, krylov: None })
@@ -229,25 +246,31 @@ impl Backend for InstantiableBackend {
         // quadrature settings, parallelism).
     }
 
+    /// Only the sequential setup reads `cache`: the threaded and
+    /// message-passing strategies compute every integral, so their merge
+    /// order (and result) matches the uncached run exactly.
     fn prepare(
         &self,
         engine: &GalerkinEngine,
+        cache: Option<PairCache<'_>>,
         geo: &Geometry,
     ) -> Result<Box<dyn PreparedSystem>, CoreError> {
         let set = instantiate(geo, &self.instantiate)?;
         let index = TemplateIndex::new(&set);
-        let n_cond = geo.conductor_count();
-        let (asm, workers) = match self.parallelism {
+        let (n_cond, eps) = (geo.conductor_count(), geo.eps_rel());
+        let (asm, stats, workers) = match self.parallelism {
             Parallelism::Sequential => {
-                (assembly::assemble_sequential(engine, &index, &set, n_cond, geo.eps_rel()), 1)
+                let (a, stats) =
+                    assembly::assemble_cached(engine, cache, &index, &set, n_cond, eps);
+                (a, stats, 1)
             }
             Parallelism::Threads(t) => {
-                let (a, _) =
-                    assembly::assemble_threaded(engine, &index, &set, n_cond, geo.eps_rel(), t);
-                (a, t)
+                let (a, _) = assembly::assemble_threaded(engine, &index, &set, n_cond, eps, t);
+                (a, CacheStats::default(), t)
             }
             Parallelism::MessagePassing(r) => {
-                (assembly::assemble_distributed(engine, &index, &set, n_cond, geo.eps_rel(), r), r)
+                let a = assembly::assemble_distributed(engine, &index, &set, n_cond, eps, r);
+                (a, CacheStats::default(), r)
             }
         };
         Ok(Box::new(PreparedDirect {
@@ -256,6 +279,7 @@ impl Backend for InstantiableBackend {
             m_templates: Some(index.template_count()),
             workers,
             memory: asm.p.memory_bytes() + asm.phi.memory_bytes(),
+            cache: stats,
             p: asm.p,
             phi: asm.phi,
         }))
@@ -283,6 +307,7 @@ impl DensePwcBackend {
             m_templates: None,
             workers,
             memory: p.memory_bytes() + phi.memory_bytes(),
+            cache: CacheStats::default(),
             p,
             phi,
         }))
@@ -297,6 +322,7 @@ impl Backend for DensePwcBackend {
     fn prepare(
         &self,
         _engine: &GalerkinEngine,
+        _cache: Option<PairCache<'_>>,
         geo: &Geometry,
     ) -> Result<Box<dyn PreparedSystem>, CoreError> {
         self.prepare_on(geo, Mesh::uniform(geo, self.mesh_divisions))
@@ -369,6 +395,7 @@ impl Backend for FmmBackend {
     fn prepare(
         &self,
         _engine: &GalerkinEngine,
+        _cache: Option<PairCache<'_>>,
         geo: &Geometry,
     ) -> Result<Box<dyn PreparedSystem>, CoreError> {
         self.prepare_on(geo, Mesh::uniform(geo, self.mesh_divisions))
@@ -448,6 +475,7 @@ impl Backend for PfftBackend {
     fn prepare(
         &self,
         _engine: &GalerkinEngine,
+        _cache: Option<PairCache<'_>>,
         geo: &Geometry,
     ) -> Result<Box<dyn PreparedSystem>, CoreError> {
         self.prepare_on(geo, Mesh::uniform(geo, self.mesh_divisions))
@@ -525,6 +553,7 @@ impl Backend for AutoBackend {
     fn prepare(
         &self,
         _engine: &GalerkinEngine,
+        _cache: Option<PairCache<'_>>,
         geo: &Geometry,
     ) -> Result<Box<dyn PreparedSystem>, CoreError> {
         // Size the mesh once: resolution reads it, the chosen backend

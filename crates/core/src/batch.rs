@@ -17,15 +17,21 @@
 //!   (`⌈jobs / workers⌉` jobs per micro-batch), so engine builds are
 //!   amortized deterministically, matching the old dedicated scheduler;
 //! * with caching enabled (the default), pair integrals are shared across
-//!   jobs through a [`bemcap_basis::TemplateKey`]-keyed
-//!   [`crate::cache::TemplateCache`]: families that keep part of the
-//!   geometry fixed (every sweep does) skip the integrals of the
-//!   unchanged template pairs entirely. A cache hit returns the very f64
-//!   a recomputation would produce, so cached and uncached runs yield
-//!   **bit-identical** capacitance matrices. By default each run gets a
-//!   private unbounded cache; [`BatchExtractor::shared_cache`] plugs in a
-//!   process-lifetime (optionally memory-bounded) cache instead, which is
-//!   how the `bemcap-serve` daemon keeps integrals warm across requests;
+//!   jobs through a [`crate::cache::TemplateCache`] keyed by the
+//!   [`bemcap_basis::TemplateKey`] pair and the engine's quadrature
+//!   identity ([`crate::cache::PairCache`]): families that keep part of
+//!   the geometry fixed (every sweep does) skip the integrals of the
+//!   unchanged template pairs entirely, and jobs with a different
+//!   Galerkin configuration or acceleration never read each other's
+//!   integrals. A cache hit returns the very f64 a recomputation would
+//!   produce, so cached and uncached runs yield **bit-identical**
+//!   capacitance matrices. The cache is read by instantiable jobs with
+//!   sequential setup; threaded and message-passing setups and the
+//!   mesh-based methods compute every integral and report zero cache
+//!   counters. By default each run gets a private unbounded cache;
+//!   [`BatchExtractor::shared_cache`] plugs in a process-lifetime
+//!   (optionally memory-bounded) cache instead, which is how the
+//!   `bemcap-serve` daemon keeps integrals warm across requests;
 //! * per-job timings and cache counters come back as
 //!   [`JobReport`]s under a whole-run [`BatchReport`], which now also
 //!   carries the run's executor counters ([`crate::report::ExecStats`]:
@@ -218,7 +224,9 @@ impl BatchExtractor {
     /// one, so pair integrals survive across batch runs for the lifetime
     /// of the cache — the configuration behind the `bemcap-serve` daemon.
     /// Results stay bit-identical whatever the cache's bound or prior
-    /// contents; only the hit/miss/eviction counters change.
+    /// contents, including integrals left by extractors with another
+    /// quadrature configuration; only the hit/miss/eviction counters
+    /// change.
     #[must_use]
     pub fn shared_cache(mut self, cache: Arc<TemplateCache>) -> BatchExtractor {
         self.cache = CacheChoice::Shared(cache);
@@ -630,6 +638,39 @@ mod tests {
         }
         assert!(!cache.is_empty());
         assert_eq!(cache.lifetime().lookups(), cold.report().cache.lookups() * 2);
+    }
+
+    #[test]
+    fn shared_cache_never_mixes_quadrature_configs() {
+        // One shared cache, three engines over the same crossing pair:
+        // accelerated primitives, the exact default, and a different
+        // Galerkin order. Each configuration must compute its own
+        // integrals and match its one-at-a-time extraction bit for bit,
+        // never read integrals another engine left in the cache.
+        use bemcap_quad::galerkin::GalerkinConfig;
+        let cache = Arc::new(TemplateCache::unbounded());
+        let jobs = vec![BatchJob::new("crossing", structures::crossing_wires(Default::default()))];
+        let coarse = GalerkinConfig { near_order: 4, ..GalerkinConfig::default() };
+        let configs = [
+            Extractor::new().accelerated(true),
+            Extractor::new(),
+            Extractor::new().galerkin_config(coarse),
+        ];
+        let mut misses = Vec::new();
+        for ex in &configs {
+            let batch = BatchExtractor::new(ex.clone()).workers(1).shared_cache(Arc::clone(&cache));
+            let run = batch.extract_all(&jobs).expect("batch");
+            let single = ex.extract(&jobs[0].geometry).expect("single");
+            assert_eq!(
+                run.points()[0].extraction.capacitance().matrix().as_slice(),
+                single.capacitance().matrix().as_slice(),
+                "{ex:?}: shared-cache result differs from extract()"
+            );
+            misses.push(run.report().cache.misses);
+        }
+        assert!(misses[0] > 0);
+        assert_eq!(misses, vec![misses[0]; 3], "every engine computes its own integrals");
+        assert_eq!(cache.len(), 3 * misses[0]);
     }
 
     #[test]

@@ -9,10 +9,12 @@
 //! daemon (`bemcap-serve`) can keep integrals warm across requests:
 //!
 //! * **bit-identity** — keys are exact bit-level template identities
-//!   ([`TemplateKey`]), so a hit returns the very `f64` a recomputation
-//!   would produce. Eviction can only cause recomputation, never a
-//!   different answer: results are bit-identical at any bound, including
-//!   zero.
+//!   ([`TemplateKey`]) tagged with the identity of the quadrature that
+//!   computes them ([`PairCache`]), so a hit returns the very `f64` a
+//!   recomputation would produce, and jobs with different quadrature
+//!   configurations never read each other's integrals. Eviction can only
+//!   cause recomputation, never a different answer: results are
+//!   bit-identical at any bound, including zero.
 //! * **bounded memory** — [`TemplateCache::with_max_bytes`] caps the
 //!   resident footprint ([`ENTRY_BYTES`] per entry). When a shard fills,
 //!   the least-recently-used quarter of its entries (by a global epoch
@@ -36,18 +38,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use bemcap_basis::TemplateKey;
+use bemcap_quad::galerkin::GalerkinConfig;
 
 use crate::metrics::metrics;
 use crate::report::CacheStats;
 
-/// A cache key: the ordered pair of template identities of one Galerkin
-/// pair integral.
-pub type PairKey = (TemplateKey, TemplateKey);
+/// A cache key: the engine tag of the quadrature that computes the
+/// integral ([`PairCache::new`]) and the ordered pair of template
+/// identities of one Galerkin pair integral.
+pub type PairKey = (u64, TemplateKey, TemplateKey);
 
 /// Approximate resident bytes per cache entry, used to convert the
-/// configured memory bound into an entry budget: two 72-byte
-/// [`TemplateKey`]s, the `f64` value, the `u64` epoch, and hash-map slot
-/// overhead, rounded up.
+/// configured memory bound into an entry budget: the `u64` engine tag,
+/// two 72-byte [`TemplateKey`]s, the `f64` value, the `u64` epoch, and
+/// hash-map slot overhead, rounded up.
 pub const ENTRY_BYTES: usize = 192;
 
 const SHARDS: usize = 32;
@@ -79,6 +83,54 @@ pub struct Lookup {
     pub evicted: usize,
 }
 
+/// A [`TemplateCache`] seen through one integration engine: every lookup
+/// made through it carries the engine tag — a fold of the Galerkin
+/// configuration and the accelerated-primitives flag — so an integral
+/// computed under one quadrature is never returned to a job that runs
+/// another. This is how a backend's system setup reaches the shared
+/// cache ([`crate::Backend::prepare`]).
+#[derive(Debug, Clone, Copy)]
+pub struct PairCache<'a> {
+    cache: &'a TemplateCache,
+    engine: u64,
+}
+
+impl<'a> PairCache<'a> {
+    /// Binds `cache` to the engine built from `galerkin` (with the
+    /// §4.2.3 tabulated primitives when `accelerated`). The tag is an
+    /// FNV-style fold of the engine words: stable across processes, so a
+    /// restored snapshot answers the same engine's lookups, and each fold
+    /// step is a bijection, so changing any single word always changes
+    /// the tag.
+    pub fn new(cache: &'a TemplateCache, galerkin: &GalerkinConfig, accelerated: bool) -> Self {
+        let engine = std::iter::once(u64::from(accelerated))
+            .chain(galerkin.words())
+            .fold(0xcbf2_9ce4_8422_2325_u64, |h, w| (h ^ w).wrapping_mul(0x0100_0000_01b3));
+        PairCache { cache, engine }
+    }
+
+    /// The integral of the template pair `(a, b)` under this engine:
+    /// cached, or computed by `f` and inserted. Counts the lookup into
+    /// `stats`.
+    pub fn get_or_compute(
+        &self,
+        a: TemplateKey,
+        b: TemplateKey,
+        stats: &mut CacheStats,
+        f: impl FnOnce() -> f64,
+    ) -> f64 {
+        let (value, lookup) = self.cache.get_or_compute((self.engine, a, b), f);
+        if lookup.hit {
+            stats.hits += 1;
+        } else {
+            stats.misses += 1;
+            stats.inserted_bytes += ENTRY_BYTES;
+        }
+        stats.evictions += lookup.evicted;
+        value
+    }
+}
+
 /// A process-lifetime, memory-bounded, sharded map from template-pair
 /// keys to raw pair integrals. See the module docs for the invariants.
 ///
@@ -86,7 +138,7 @@ pub struct Lookup {
 /// use bemcap_core::cache::TemplateCache;
 ///
 /// let cache = TemplateCache::with_max_bytes(16 << 20);
-/// let key = ([1u64; 9].into(), [2u64; 9].into());
+/// let key = (0, [1u64; 9].into(), [2u64; 9].into());
 /// let (v, first) = cache.get_or_compute(key, || 42.0);
 /// let (w, second) = cache.get_or_compute(key, || unreachable!("cached"));
 /// assert_eq!((v, w), (42.0, 42.0));
@@ -230,10 +282,10 @@ impl TemplateCache {
     /// Writes every resident entry to `w` in the versioned snapshot
     /// format (see [`SNAPSHOT_HEADER`]) and returns how many entries
     /// were written. The format is binary-safe *text*: one header line,
-    /// then one line per entry of 19 lowercase-hex `u64` words (the two
-    /// 9-word [`TemplateKey`] identities followed by the value's raw
-    /// `f64` bits), so a restored value is the identical `f64`, bit for
-    /// bit, and the file survives any text transport.
+    /// then one line per entry of 20 lowercase-hex `u64` words (the
+    /// engine tag, the two 9-word [`TemplateKey`] identities, then the
+    /// value's raw `f64` bits), so a restored value is the identical
+    /// `f64`, bit for bit, and the file survives any text transport.
     ///
     /// Concurrent lookups during the snapshot are safe (each shard is
     /// locked only while it is copied out); the snapshot is a consistent
@@ -251,11 +303,11 @@ impl TemplateCache {
         }
         // Deterministic file contents for identical cache contents:
         // sort by key words, not by shard/hash iteration order.
-        entries.sort_by_key(|((a, b), _)| (a.words(), b.words()));
+        entries.sort_by_key(|((engine, a, b), _)| (*engine, a.words(), b.words()));
         writeln!(w, "{} {}", SNAPSHOT_HEADER, entries.len())?;
-        for ((a, b), value) in &entries {
-            let mut line = String::with_capacity(19 * 17);
-            for word in a.words().iter().chain(b.words().iter()) {
+        for ((engine, a, b), value) in &entries {
+            let mut line = String::with_capacity(SNAPSHOT_WORDS * 17);
+            for word in std::iter::once(engine).chain(a.words().iter()).chain(b.words().iter()) {
                 push_hex(&mut line, *word);
                 line.push(' ');
             }
@@ -291,25 +343,27 @@ impl TemplateCache {
                 continue;
             }
             seen += 1;
-            let mut words = [0u64; 19];
+            let mut words = [0u64; SNAPSHOT_WORDS];
             let mut fields = line.split_ascii_whitespace();
             for (i, slot) in words.iter_mut().enumerate() {
-                let field = fields
-                    .next()
-                    .ok_or_else(|| bad_snapshot(format!("entry {seen}: expected 19 words")))?;
+                let field = fields.next().ok_or_else(|| {
+                    bad_snapshot(format!("entry {seen}: expected {SNAPSHOT_WORDS} words"))
+                })?;
                 *slot = u64::from_str_radix(field, 16).map_err(|e| {
                     bad_snapshot(format!("entry {seen} word {i}: not a hex u64: {e}"))
                 })?;
             }
             if fields.next().is_some() {
-                return Err(bad_snapshot(format!("entry {seen}: more than 19 words")));
+                return Err(bad_snapshot(format!(
+                    "entry {seen}: more than {SNAPSHOT_WORDS} words"
+                )));
             }
             let mut a = [0u64; 9];
             let mut b = [0u64; 9];
-            a.copy_from_slice(&words[0..9]);
-            b.copy_from_slice(&words[9..18]);
-            let key: PairKey = (a.into(), b.into());
-            let value = f64::from_bits(words[18]);
+            a.copy_from_slice(&words[1..10]);
+            b.copy_from_slice(&words[10..19]);
+            let key: PairKey = (words[0], a.into(), b.into());
+            let value = f64::from_bits(words[19]);
             let stamp = self.epoch.fetch_add(1, Ordering::Relaxed);
             let mut map = self.shard(&key).lock().expect("template cache poisoned");
             if let Some(cap) = self.shard_cap {
@@ -331,8 +385,13 @@ impl TemplateCache {
 
 /// Magic-plus-version tag opening every [`TemplateCache::snapshot_to`]
 /// file. Bump the version on any change to the entry encoding; restore
-/// refuses versions it does not know instead of misreading them.
-pub const SNAPSHOT_HEADER: &str = "bemcap-template-cache v1";
+/// refuses versions it does not know instead of misreading them. `v2`
+/// added the engine tag to every entry.
+pub const SNAPSHOT_HEADER: &str = "bemcap-template-cache v2";
+
+/// Words per snapshot entry line: the engine tag, two 9-word template
+/// identities, and the value's bits.
+const SNAPSHOT_WORDS: usize = 20;
 
 fn push_hex(out: &mut String, word: u64) {
     use std::fmt::Write as _;
@@ -352,9 +411,9 @@ fn parse_snapshot_header(header: &str) -> io::Result<usize> {
             "not a template-cache snapshot (expected a '{SNAPSHOT_HEADER}' header, got '{header}')"
         )));
     }
-    if version != "v1" {
+    if version != "v2" {
         return Err(bad_snapshot(format!(
-            "unsupported template-cache snapshot version '{version}' (this build reads v1)"
+            "unsupported template-cache snapshot version '{version}' (this build reads v2)"
         )));
     }
     fields
@@ -386,7 +445,7 @@ mod tests {
     use super::*;
 
     fn key(i: u64) -> PairKey {
-        ([i; 9].into(), [i.wrapping_mul(31); 9].into())
+        (i % 3, [i; 9].into(), [i.wrapping_mul(31); 9].into())
     }
 
     #[test]
@@ -599,10 +658,11 @@ mod tests {
             ("", "empty"),
             ("not a snapshot\n", "foreign header"),
             ("bemcap-template-cache v9 0\n", "future version"),
-            ("bemcap-template-cache v1\n", "missing count"),
-            ("bemcap-template-cache v1 2\n", "truncated body"),
-            ("bemcap-template-cache v1 1\n1 2 3\n", "short entry"),
-            ("bemcap-template-cache v1 1\nzz 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1\n", "bad hex"),
+            ("bemcap-template-cache v1 0\n", "untagged v1 snapshot"),
+            ("bemcap-template-cache v2\n", "missing count"),
+            ("bemcap-template-cache v2 2\n", "truncated body"),
+            ("bemcap-template-cache v2 1\n1 2 3\n", "short entry"),
+            ("bemcap-template-cache v2 1\nzz 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1\n", "bad hex"),
         ];
         for (text, what) in errors {
             let e = cache.restore_from(text.as_bytes()).unwrap_err();

@@ -37,21 +37,14 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
-use bemcap_basis::instantiate::instantiate;
-use bemcap_basis::{accumulate_entry, pair_integral, Template, TemplateIndex, TemplateKey};
-use bemcap_geom::Geometry;
-use bemcap_linalg::Matrix;
-use bemcap_par::{k_to_ij, triangle_size, WorkQueue};
-use bemcap_quad::galerkin::GalerkinEngine;
+use bemcap_par::WorkQueue;
 
-use crate::assembly;
 use crate::batch::{default_pool_size, BatchJob};
-use crate::cache::{TemplateCache, ENTRY_BYTES};
+use crate::cache::TemplateCache;
 use crate::error::CoreError;
-use crate::extraction::{CapacitanceMatrix, Extraction, Extractor, Method};
+use crate::extraction::{Extraction, Extractor};
 use crate::metrics::metrics;
-use crate::report::{CacheStats, ExecStats, ExtractionReport};
-use crate::solver::solve_capacitance;
+use crate::report::{CacheStats, ExecStats};
 
 /// Name of the environment variable that sets the default admission
 /// queue depth (`BEMCAP_QUEUE=64`).
@@ -407,7 +400,10 @@ fn run_micro_batch(shared: &Arc<Shared>, seq: u64, worker: usize) {
             shared.pending.lock().expect("executor poisoned").waiting_jobs -= 1;
             shared.running.fetch_add(1, Ordering::SeqCst);
             let t = Instant::now();
-            let result = run_job(&batch.extractor, &engine, batch.cache.as_deref(), &job.geometry);
+            // Every method runs the one `Extractor` path; only a
+            // sequential-setup instantiable job reads the shared cache.
+            let result =
+                batch.extractor.extract_with(&engine, batch.cache.as_deref(), &job.geometry);
             let seconds = t.elapsed().as_secs_f64();
             shared.jobs_run.fetch_add(1, Ordering::Relaxed);
             metrics().exec_jobs.inc();
@@ -425,109 +421,12 @@ fn run_micro_batch(shared: &Arc<Shared>, seq: u64, worker: usize) {
     }
 }
 
-/// One job: the sequential-setup instantiable path goes through the
-/// shared engine and cache; everything else (mesh-based baselines —
-/// including whatever [`Method::Auto`] resolves to for this geometry —
-/// and instantiable extractors that asked for within-job
-/// [`crate::extraction::Parallelism`]) runs the one-at-a-time extractor
-/// unchanged — bit-identical to [`Extractor::extract`] by construction
-/// in every case.
-pub(crate) fn run_job(
-    extractor: &Extractor,
-    engine: &GalerkinEngine,
-    cache: Option<&TemplateCache>,
-    geo: &Geometry,
-) -> Result<(Extraction, CacheStats), CoreError> {
-    // Dispatch on the *configured* method: `Auto` only ever resolves to
-    // mesh-based backends, so it always takes the extractor path, and
-    // resolution (which sizes a mesh) stays inside the one `extract`.
-    match extractor.method_kind() {
-        Method::InstantiableBasis if extractor.is_sequential_setup() => {
-            extract_instantiable_cached(extractor, engine, cache, geo)
-        }
-        _ => Ok((extractor.extract(geo)?, CacheStats::default())),
-    }
-}
-
-/// The instantiable extraction of [`Extractor::extract`], restated with a
-/// caller-provided engine and an optional shared pair-integral cache.
-///
-/// The k-loop, accumulation order, and scaling are exactly those of
-/// `assembly::assemble_sequential`, so the result is bit-identical to the
-/// one-at-a-time sequential path — with or without the cache.
-fn extract_instantiable_cached(
-    extractor: &Extractor,
-    engine: &GalerkinEngine,
-    cache: Option<&TemplateCache>,
-    geo: &Geometry,
-) -> Result<(Extraction, CacheStats), CoreError> {
-    if geo.conductor_count() == 0 {
-        return Err(CoreError::EmptyGeometry);
-    }
-    let names: Vec<String> = geo.conductors().iter().map(|c| c.name().to_string()).collect();
-    // Setup timing matches `Extractor::extract`: instantiation and
-    // indexing are part of the system-setup step, so the same request
-    // reports the same split whether it runs direct or on the executor.
-    let start = Instant::now();
-    let setup_span = crate::metrics::Span::enter(metrics().extract_setup_nanos);
-    let set = instantiate(geo, extractor.instantiate_cfg())?;
-    let index = TemplateIndex::new(&set);
-    let n_cond = geo.conductor_count();
-
-    let scale = assembly::kernel_scale(geo.eps_rel());
-    let n = index.basis_count();
-    let mut p = Matrix::zeros(n, n);
-    let mut stats = CacheStats::default();
-    let keys: Vec<TemplateKey> = index.templates().iter().map(Template::key).collect();
-    for k in 0..triangle_size(index.template_count()) {
-        let (i, j) = k_to_ij(k);
-        let raw = match cache {
-            Some(c) => {
-                let (v, lookup) = c.get_or_compute((keys[i], keys[j]), || {
-                    pair_integral(engine, index.template(i), index.template(j))
-                });
-                if lookup.hit {
-                    stats.hits += 1;
-                } else {
-                    stats.misses += 1;
-                    stats.inserted_bytes += ENTRY_BYTES;
-                }
-                stats.evictions += lookup.evicted;
-                v
-            }
-            None => pair_integral(engine, index.template(i), index.template(j)),
-        };
-        accumulate_entry(&mut p, i, j, index.label(i), index.label(j), scale * raw);
-    }
-    let phi = assembly::assemble_phi(engine, &set, n_cond);
-    let setup_seconds = start.elapsed().as_secs_f64();
-    drop(setup_span);
-    let memory = p.memory_bytes() + phi.memory_bytes();
-    let (c, solve_seconds) = {
-        let _span = crate::metrics::Span::enter(metrics().extract_solve_nanos);
-        solve_capacitance(p, &phi)?
-    };
-    metrics().extractions.inc();
-    let extraction = Extraction::from_parts(
-        CapacitanceMatrix::from_parts(names, c),
-        ExtractionReport {
-            method: "instantiable".into(),
-            n,
-            m_templates: Some(index.template_count()),
-            workers: 1,
-            setup_seconds,
-            solve_seconds,
-            memory_bytes: memory,
-            krylov: None,
-        },
-    );
-    Ok((extraction, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::extraction::Method;
     use bemcap_geom::structures::{self, CrossingParams};
+    use bemcap_geom::Geometry;
     use std::sync::mpsc::channel;
 
     fn crossing(h: f64) -> Geometry {

@@ -11,8 +11,9 @@ use crate::backend::{
     AutoBackend, Backend, DensePwcBackend, FmmBackend, InstantiableBackend, PfftBackend,
     DEFAULT_AUTO_BUDGET,
 };
+use crate::cache::{PairCache, TemplateCache};
 use crate::error::CoreError;
-use crate::report::ExtractionReport;
+use crate::report::{CacheStats, ExtractionReport};
 
 /// Which solver backend to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,20 +186,8 @@ impl Extractor {
         }
     }
 
-    pub(crate) fn method_kind(&self) -> Method {
-        self.method
-    }
-
-    pub(crate) fn instantiate_cfg(&self) -> &InstantiateConfig {
-        &self.instantiate_cfg
-    }
-
     pub(crate) fn is_accelerated(&self) -> bool {
         self.accelerated
-    }
-
-    pub(crate) fn is_sequential_setup(&self) -> bool {
-        self.parallelism == Parallelism::Sequential
     }
 
     /// The [`Backend`] this configuration dispatches to — the typed
@@ -259,7 +248,6 @@ impl Extractor {
     /// extractors differing in any behavior-affecting knob — a pFFT grid
     /// spacing, an FMM tolerance, a preconditioner — can never share one.
     pub fn config_digest(&self) -> Vec<u64> {
-        let g = &self.galerkin_cfg;
         let ic = &self.instantiate_cfg;
         let parallelism = match self.parallelism {
             Parallelism::Sequential => 0,
@@ -281,13 +269,8 @@ impl Extractor {
             ic.laws.ext_coeff.to_bits(),
             ic.max_segment_aspect.to_bits(),
             ic.max_gap_ratio.to_bits(),
-            g.far_ratio.to_bits(),
-            g.mid_ratio.to_bits(),
-            g.near_order as u64,
-            g.mid_order as u64,
-            g.touch_subdiv as u64,
-            g.shape_order as u64,
         ];
+        words.extend(self.galerkin_cfg.words());
         self.backend().digest(&mut words);
         words
     }
@@ -303,24 +286,39 @@ impl Extractor {
     /// * backend errors ([`CoreError::Basis`], [`CoreError::Linalg`],
     ///   [`CoreError::Fmm`], [`CoreError::Pfft`]).
     pub fn extract(&self, geo: &Geometry) -> Result<Extraction, CoreError> {
+        self.extract_with(&self.engine(), None, geo).map(|(extraction, _)| extraction)
+    }
+
+    /// [`Extractor::extract`] on a caller-built `engine` (the executor
+    /// builds one per micro-batch), reading and filling the shared
+    /// pair-integral `cache` under this configuration's engine tag
+    /// ([`PairCache::new`]). Returns the cache lookups alongside; the
+    /// extraction is bit-identical with or without the cache.
+    pub(crate) fn extract_with(
+        &self,
+        engine: &GalerkinEngine,
+        cache: Option<&TemplateCache>,
+        geo: &Geometry,
+    ) -> Result<(Extraction, CacheStats), CoreError> {
         if geo.conductor_count() == 0 {
             return Err(CoreError::EmptyGeometry);
         }
         let names: Vec<String> = geo.conductors().iter().map(|c| c.name().to_string()).collect();
         let backend = self.backend();
-        let engine = self.engine();
+        let cache = cache.map(|c| PairCache::new(c, &self.galerkin_cfg, self.accelerated));
         let t = std::time::Instant::now();
         let prepared = {
             let _span = crate::metrics::Span::enter(crate::metrics::metrics().extract_setup_nanos);
-            backend.prepare(&engine, geo)?
+            backend.prepare(engine, cache, geo)?
         };
         let setup_seconds = t.elapsed().as_secs_f64();
-        let (method, n, m_templates, workers, memory_bytes) = (
+        let (method, n, m_templates, workers, memory_bytes, cache_stats) = (
             prepared.method_name().to_string(),
             prepared.n(),
             prepared.m_templates(),
             prepared.workers(),
             prepared.memory_bytes(),
+            prepared.cache_stats(),
         );
         let t = std::time::Instant::now();
         let out = {
@@ -329,7 +327,7 @@ impl Extractor {
         };
         let solve_seconds = t.elapsed().as_secs_f64();
         crate::metrics::metrics().extractions.inc();
-        Ok(Extraction {
+        let extraction = Extraction {
             capacitance: CapacitanceMatrix { names, c: out.capacitance },
             report: ExtractionReport {
                 method,
@@ -341,7 +339,8 @@ impl Extractor {
                 memory_bytes,
                 krylov: out.krylov.map(Into::into),
             },
-        })
+        };
+        Ok((extraction, cache_stats))
     }
 }
 
@@ -353,10 +352,6 @@ pub struct CapacitanceMatrix {
 }
 
 impl CapacitanceMatrix {
-    pub(crate) fn from_parts(names: Vec<String>, c: Matrix) -> CapacitanceMatrix {
-        CapacitanceMatrix { names, c }
-    }
-
     /// Number of conductors.
     pub fn dim(&self) -> usize {
         self.c.rows()
@@ -419,13 +414,6 @@ pub struct Extraction {
 }
 
 impl Extraction {
-    pub(crate) fn from_parts(
-        capacitance: CapacitanceMatrix,
-        report: ExtractionReport,
-    ) -> Extraction {
-        Extraction { capacitance, report }
-    }
-
     /// The capacitance matrix.
     pub fn capacitance(&self) -> &CapacitanceMatrix {
         &self.capacitance

@@ -18,11 +18,6 @@ pub enum LinalgError {
         /// Row/column index of the failing pivot.
         index: usize,
     },
-    /// The matrix is not positive definite (Cholesky).
-    NotPositiveDefinite {
-        /// Index of the failing diagonal.
-        index: usize,
-    },
     /// An iterative solver failed to converge.
     NoConvergence {
         /// Iterations performed.
@@ -43,9 +38,6 @@ impl fmt::Display for LinalgError {
             LinalgError::Singular { index } => {
                 write!(f, "singular pivot at index {index}")
             }
-            LinalgError::NotPositiveDefinite { index } => {
-                write!(f, "matrix not positive definite at diagonal {index}")
-            }
             LinalgError::NoConvergence { iterations, residual } => {
                 write!(f, "no convergence after {iterations} iterations (residual {residual:.3e})")
             }
@@ -64,7 +56,6 @@ mod tests {
     fn display_nonempty() {
         for e in [
             LinalgError::Singular { index: 3 },
-            LinalgError::NotPositiveDefinite { index: 1 },
             LinalgError::NoConvergence { iterations: 10, residual: 0.5 },
             LinalgError::NotFinite,
             LinalgError::DimensionMismatch { op: "gemm", detail: "2x3 * 4x5".into() },

@@ -1,4 +1,4 @@
-//! Krylov subspace iterative solvers (GMRES, CG).
+//! Krylov subspace iterative solvers (GMRES).
 //!
 //! These power the FASTCAP-style baselines: multipole- and FFT-accelerated
 //! solvers replace the dense matrix by a fast approximate matvec operator
@@ -466,58 +466,6 @@ pub fn gmres_grouped(
     Ok((c, stats))
 }
 
-/// Conjugate gradients for symmetric positive-definite operators.
-///
-/// # Errors
-///
-/// * [`LinalgError::DimensionMismatch`] if `b.len() != op.dim()`;
-/// * [`LinalgError::NoConvergence`] after `max_iters` iterations.
-pub fn cg(
-    op: &dyn LinearOperator,
-    b: &[f64],
-    tol: f64,
-    max_iters: usize,
-) -> Result<(Vec<f64>, KrylovStats), LinalgError> {
-    let n = op.dim();
-    if b.len() != n {
-        return Err(LinalgError::DimensionMismatch {
-            op: "cg",
-            detail: format!("rhs length {} != {n}", b.len()),
-        });
-    }
-    let bnorm = norm2(b);
-    if bnorm == 0.0 {
-        return Ok((vec![0.0; n], KrylovStats::default()));
-    }
-    let mut x = vec![0.0; n];
-    let mut r = b.to_vec();
-    let mut z = vec![0.0; n];
-    op.precondition(&r, &mut z);
-    let mut p = z.clone();
-    let mut rz = dot(&r, &z);
-    let mut ap = vec![0.0; n];
-    let mut matvecs = 0;
-    for _ in 0..max_iters {
-        op.apply(&p, &mut ap);
-        matvecs += 1;
-        let alpha = rz / dot(&p, &ap);
-        axpy(alpha, &p, &mut x);
-        axpy(-alpha, &ap, &mut r);
-        let res = norm2(&r) / bnorm;
-        if res < tol {
-            return Ok((x, KrylovStats { matvecs, restarts: 0, residual: res }));
-        }
-        op.precondition(&r, &mut z);
-        let rz_new = dot(&r, &z);
-        let beta = rz_new / rz;
-        rz = rz_new;
-        for i in 0..n {
-            p[i] = z[i] + beta * p[i];
-        }
-    }
-    Err(LinalgError::NoConvergence { iterations: matvecs, residual: norm2(&r) / bnorm })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -571,27 +519,11 @@ mod tests {
     }
 
     #[test]
-    fn cg_solves_spd() {
-        let n = 40;
-        let a = spd(n);
-        let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.2).cos()).collect();
-        let b = a.matvec(&x_true);
-        let op = DenseOperator::new(a).unwrap();
-        let (x, stats) = cg(&op, &b, 1e-12, 500).unwrap();
-        assert!(stats.residual < 1e-12);
-        for (xi, ti) in x.iter().zip(&x_true) {
-            assert!((xi - ti).abs() < 1e-8);
-        }
-    }
-
-    #[test]
     fn zero_rhs_short_circuits() {
         let op = DenseOperator::new(Matrix::identity(4)).unwrap();
         let (x, stats) = gmres(&op, &[0.0; 4], 4, 1e-12, 10).unwrap();
         assert_eq!(x, vec![0.0; 4]);
         assert_eq!(stats.matvecs, 0);
-        let (x, _) = cg(&op, &[0.0; 4], 1e-12, 10).unwrap();
-        assert_eq!(x, vec![0.0; 4]);
     }
 
     #[test]
@@ -605,7 +537,6 @@ mod tests {
     fn dimension_checked() {
         let op = DenseOperator::new(Matrix::identity(3)).unwrap();
         assert!(gmres(&op, &[1.0; 2], 2, 1e-10, 10).is_err());
-        assert!(cg(&op, &[1.0; 2], 1e-10, 10).is_err());
         assert!(DenseOperator::new(Matrix::zeros(2, 3)).is_err());
     }
 

@@ -3,9 +3,8 @@
 //! Self-contained dense linear algebra for the `bemcap` workspace: row-major
 //! matrices, cache-blocked products, LU with partial pivoting (the "standard
 //! direct method" the paper relies on for the tiny instantiable-basis
-//! system), Cholesky, Householder QR / least squares (used by the rational
-//! fitting of §4.2.4), and Krylov solvers (GMRES, CG) for the FASTCAP-style
-//! baselines.
+//! system), Householder QR / least squares (used by the rational fitting of
+//! §4.2.4), and preconditioned GMRES for the FASTCAP-style baselines.
 //!
 //! ```
 //! use bemcap_linalg::{Matrix, LuFactor};
@@ -22,7 +21,6 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod blas;
-pub mod cholesky;
 pub mod error;
 pub mod kernels;
 pub mod krylov;
@@ -31,10 +29,9 @@ pub mod matrix;
 pub mod qr;
 pub mod sparse;
 
-pub use cholesky::CholeskyFactor;
 pub use error::LinalgError;
 pub use krylov::{
-    cg, gmres, gmres_grouped, gmres_with, BlockJacobiPrecond, DenseOperator, DiagonalPrecond,
+    gmres, gmres_grouped, gmres_with, BlockJacobiPrecond, DenseOperator, DiagonalPrecond,
     IdentityPrecond, KrylovConfig, KrylovStats, LinearOperator, OperatorPrecond, PrecondKind,
     Preconditioner,
 };

@@ -6,7 +6,7 @@
 //!   P̃, its closed-form conversion to (i, j), and the balanced static
 //!   partition into D ranges;
 //! * [`pool`] — shared-memory execution (the OpenMP analogue of Fig. 4)
-//!   with crossbeam scoped threads and private per-thread accumulation;
+//!   with `std` scoped threads and private per-thread accumulation;
 //! * [`mpi`] — an in-process message-passing runtime (the MPI analogue of
 //!   Figs. 5–6): ranks, byte-counted send/recv, barriers — the paper itself
 //!   "simulates the distributed memory behavior ... through MPI" on one

@@ -9,9 +9,8 @@
 //! through MPI on a 2-processor-12-core machine" (§5.2).
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Barrier};
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::error::ParError;
 
@@ -140,7 +139,7 @@ impl Universe {
         }
         for s in 0..size {
             for d in 0..size {
-                let (tx, rx) = unbounded();
+                let (tx, rx) = channel();
                 txs[s][d] = Some(tx);
                 rxs[d][s] = Some(rx);
             }
@@ -158,20 +157,13 @@ impl Universe {
                 bytes_sent: Arc::clone(&bytes_sent),
             });
         }
-        let mut slots: Vec<Option<R>> = Vec::new();
-        for _ in 0..size {
-            slots.push(None);
-        }
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let f = &f;
-            for (slot, comm) in slots.iter_mut().zip(comms) {
-                scope.spawn(move |_| {
-                    *slot = Some(f(comm));
-                });
-            }
+            // Spawn every rank before joining any, then join in rank order.
+            let handles: Vec<_> =
+                comms.into_iter().map(|comm| scope.spawn(move || f(comm))).collect();
+            handles.into_iter().map(|h| h.join().expect("rank thread panicked")).collect()
         })
-        .expect("rank thread panicked");
-        slots.into_iter().map(|s| s.expect("every rank returns")).collect()
     }
 }
 

@@ -4,7 +4,7 @@
 //! D − 1 worker threads, each thread computes the P̃ entries of its
 //! partition in *private* memory and merges the result; threads then join
 //! back into the main thread. [`run_partitioned`] reproduces exactly that
-//! structure with crossbeam scoped threads: workers return private values
+//! structure with `std` scoped threads: workers return private values
 //! that the caller merges, so there is no locking on the hot path.
 
 use std::time::Instant;
@@ -51,31 +51,22 @@ where
         };
         return (vec![out], vec![t]);
     }
-    let mut slots: Vec<Option<(T, WorkerTiming)>> = Vec::new();
-    for _ in 0..threads {
-        slots.push(None);
-    }
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let work = &work;
-        for (w, (slot, range)) in slots.iter_mut().zip(ranges.iter().cloned()).enumerate() {
-            scope.spawn(move |_| {
-                let start = Instant::now();
-                let out = work(w, range.clone());
-                let timing =
-                    WorkerTiming { worker: w, range, seconds: start.elapsed().as_secs_f64() };
-                *slot = Some((out, timing));
-            });
-        }
+        // Spawn every worker before joining any, then join in worker order.
+        let handles: Vec<_> = ranges
+            .into_iter()
+            .enumerate()
+            .map(|(w, range)| {
+                scope.spawn(move || {
+                    let start = Instant::now();
+                    let out = work(w, range.clone());
+                    (out, WorkerTiming { worker: w, range, seconds: start.elapsed().as_secs_f64() })
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("worker thread panicked")).unzip()
     })
-    .expect("worker thread panicked");
-    let mut results = Vec::with_capacity(threads);
-    let mut timings = Vec::with_capacity(threads);
-    for slot in slots {
-        let (r, t) = slot.expect("every worker fills its slot");
-        results.push(r);
-        timings.push(t);
-    }
-    (results, timings)
 }
 
 /// Maps `f` over the job indices `0..jobs` on `threads` workers and

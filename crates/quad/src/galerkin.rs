@@ -89,6 +89,22 @@ impl Default for GalerkinConfig {
     }
 }
 
+impl GalerkinConfig {
+    /// Every field as a raw word (`f64`s by bit pattern), in declaration
+    /// order: the configuration's bit-exact identity, as folded into
+    /// solver digests and pair-integral cache keys.
+    pub fn words(&self) -> [u64; 6] {
+        [
+            self.far_ratio.to_bits(),
+            self.mid_ratio.to_bits(),
+            self.near_order as u64,
+            self.mid_order as u64,
+            self.touch_subdiv as u64,
+            self.shape_order as u64,
+        ]
+    }
+}
+
 /// The integration engine. Create once, use for every template pair; it is
 /// `Send + Sync` and freely shared across the parallel workers of
 /// Algorithm 1.

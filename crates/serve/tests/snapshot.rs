@@ -57,7 +57,7 @@ fn a_snapshot_warm_starts_a_second_daemon() {
 #[test]
 fn a_truncated_snapshot_fails_startup() {
     let path = temp_path("corrupt");
-    std::fs::write(&path, "bemcap-template-cache v1 3\ndeadbeef\n").expect("write corrupt file");
+    std::fs::write(&path, "bemcap-template-cache v2 3\ndeadbeef\n").expect("write corrupt file");
     let err = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".into(),
         cache_restore: Some(path.clone()),

@@ -398,6 +398,30 @@ fn warm_requests_are_pure_cache_hits() {
 }
 
 #[test]
+fn accelerated_requests_never_feed_exact_ones_through_the_shared_cache() {
+    // The daemon shares one template cache across connections and
+    // `accelerated` is a wire field: an exact request after an
+    // accelerated one must compute its own integrals, bit-identical to
+    // the in-process exact extraction.
+    let server = spawn_server(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let geo = structures::crossing_wires(structures::CrossingParams::default());
+    let fast_options = ExtractOptions { accelerated: true, ..ExtractOptions::default() };
+    let fast = client.extract(&geo, &fast_options).expect("accelerated");
+    let exact = client.extract(&geo, &ExtractOptions::default()).expect("exact");
+    assert!(fast.cache.misses > 0);
+    assert_eq!(exact.cache.misses, fast.cache.misses, "exact request read accelerated integrals");
+    let local = Extractor::new().extract(&geo).expect("in-process exact");
+    assert_bit_identical(&exact, &local, "exact after accelerated");
+    client.shutdown().expect("shutdown");
+    server.join().expect("clean daemon exit");
+}
+
+#[test]
 fn bounded_cache_evicts_under_pressure_without_changing_results() {
     use bemcap_core::cache::ENTRY_BYTES;
     // ~48 entries of budget vs a family needing far more.
